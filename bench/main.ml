@@ -35,15 +35,24 @@ let ok what = function
   | Error d ->
       failwith (Printf.sprintf "%s: %s" what (Seqprob.diagnosis_to_string d))
 
-let check_outcome ?engine ?jobs ?limits ?store ?rewrite_events ?guard_events
+(* The bench owns each check's resources: a pool of [jobs] (none at 1, a
+   monolithic check) and a fresh cache over [store], both per check. *)
+let check_outcome ?config ?(jobs = 1) ?store ?rewrite_events ?guard_events
     ?exposed c1 c2 =
-  ok "verify"
-    (Verify.check ?engine ?jobs ?limits ?store ?rewrite_events ?guard_events
-       ?exposed c1 c2)
+  let cache = Option.map (fun store -> Cec.Cache.create ~store ()) store in
+  Par.Pool.with_jobs ~jobs (fun pool ->
+      ok "verify"
+        (Verify.check ?config ?pool ?cache ?rewrite_events ?guard_events
+           ?exposed c1 c2))
 
-let check_verdict ?engine ?rewrite_events ?guard_events ?exposed c1 c2 =
-  (check_outcome ?engine ?rewrite_events ?guard_events ?exposed c1 c2)
-    .Verify.verdict
+let check_verdict ?rewrite_events ?guard_events ?exposed c1 c2 =
+  (check_outcome ?rewrite_events ?guard_events ?exposed c1 c2).Verify.verdict
+
+(* generous default limits: easy instances are unaffected, runaway solves
+   surface as UNDEC instead of hanging the bench *)
+let budgeted = { Cec.default_config with limits = Cec.default_limits }
+
+let with_engine engine = { Cec.default_config with engine }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -213,11 +222,13 @@ let budget_smoke () =
   let p = ok "problem" (Seqprob.problem bld ~outs1:o1 ~outs2:o2) in
   let tiny = { Cec.no_limits with Cec.sat_conflicts = Some 1; escalate = false } in
   let v1, s1 =
-    Cec.check_problem_with_stats ~engine:Cec.Sat_engine ~limits:tiny p
+    Cec.check
+      ~config:{ Cec.default_config with engine = Cec.Sat_engine; limits = tiny }
+      p
   in
   let ladder = { Cec.default_limits with Cec.sat_conflicts = Some 1 } in
   let v2, s2 =
-    Cec.check_problem_with_stats ~engine:Cec.Sweep_engine ~limits:ladder p
+    Cec.check ~config:{ Cec.default_config with limits = ladder } p
   in
   let show = function
     | Cec.Equivalent -> "EQ"
@@ -262,9 +273,7 @@ let table1 ~full ~jobs ~smoke ~cache_dir () =
   let records =
     List.map
       (fun (name, c) ->
-        (* generous default limits: easy instances are unaffected, runaway
-           solves surface as UNDEC instead of hanging the bench *)
-        let row = ok "flow" (Flow.run ~jobs ~limits:Cec.default_limits ?store c) in
+        let row = ok "flow" (Flow.run ~config:budgeted ~jobs ?store c) in
         let darea = float_of_int (max 1 row.Flow.d.Flow.area) in
         let rel a = float_of_int a /. darea in
         pf
@@ -290,12 +299,8 @@ let table1 ~full ~jobs ~smoke ~cache_dir () =
             let plan = Feedback.plan_structural c in
             let exposed = List.map (Circuit.signal_name c) plan.Feedback.exposed in
             let b, copt = ok "flow" (Flow.circuits c) in
-            let on =
-              check_outcome ~jobs ~limits:Cec.default_limits ~exposed b copt
-            in
-            let o1 =
-              check_outcome ~jobs:1 ~limits:Cec.default_limits ~exposed b copt
-            in
+            let on = check_outcome ~config:budgeted ~jobs ~exposed b copt in
+            let o1 = check_outcome ~config:budgeted ~exposed b copt in
             Some
               ( on.Verify.stats.Verify.seconds,
                 (o1.Verify.stats.Verify.seconds, verdict_str o1.Verify.verdict)
@@ -315,8 +320,7 @@ let table1 ~full ~jobs ~smoke ~cache_dir () =
               in
               let b, copt = ok "flow" (Flow.circuits c) in
               let o =
-                check_outcome ~jobs ~limits:Cec.default_limits ~store:st
-                  ~exposed b copt
+                check_outcome ~config:budgeted ~jobs ~store:st ~exposed b copt
               in
               let cec = o.Verify.stats.Verify.cec in
               pf
@@ -599,7 +603,7 @@ let suite_large ~jobs ~smoke () =
     List.map (Circuit.signal_name c) (Feedback.plan_structural c).Feedback.exposed
   in
   let check_pair ~jobs c1 c2 =
-    check_outcome ~jobs ~limits:Cec.default_limits ~exposed:(exposed_of c1) c1 c2
+    check_outcome ~config:budgeted ~jobs ~exposed:(exposed_of c1) c1 c2
   in
   let row (name, c1, c2) =
     let o = check_pair ~jobs c1 c2 in
@@ -741,7 +745,7 @@ let suite_serve ~jobs ~smoke () =
     List.map
       (fun (name, c1, c2) ->
         let t0 = Unix.gettimeofday () in
-        let o = check_outcome ~jobs:1 ~exposed:(exposed_of c1) c1 c2 in
+        let o = check_outcome ~exposed:(exposed_of c1) c1 c2 in
         let dt = Unix.gettimeofday () -. t0 in
         pf "  %-12s %-5s %8.3fs@." name (verdict_str o.Verify.verdict) dt;
         (name, verdict_str o.Verify.verdict, dt))
@@ -1113,8 +1117,7 @@ let suite_hier ~jobs ~smoke () =
     let dir = Filename.concat store_root name in
     let c1 = Hier.flatten dl and c2 = Hier.flatten dr in
     let flat =
-      check_outcome ~jobs ~limits:Cec.default_limits ~exposed:(exposed_of c1) c1
-        c2
+      check_outcome ~config:budgeted ~jobs ~exposed:(exposed_of c1) c1 c2
     in
     let st = Store.open_ dir in
     let cold = Hier.check ~jobs ~store:st dl dr in
@@ -1453,7 +1456,7 @@ let ablation_cec () =
       let o2, _ = ok "unroll" (Cbf.unroll ~exposed:(ex copt) bld copt) in
       let p = ok "problem" (Seqprob.problem bld ~outs1:o1 ~outs2:o2) in
       let run engine =
-        let v, t = time (fun () -> Cec.check_problem ~engine p) in
+        let (v, _), t = time (fun () -> Cec.check ~config:(with_engine engine) p) in
         (match v with
         | Cec.Equivalent -> ()
         | Cec.Inequivalent _ -> pf "NEQ?!"
@@ -1489,7 +1492,12 @@ let ablation_synth_rewrite () =
       let opts = { Synth_script.default_options with rewrite = true } in
       let rw = Synth_script.delay_script ~options:opts c in
       (* sanity: still equivalent *)
-      (match Cec.check (Comb_view.of_sequential base) (Comb_view.of_sequential rw) with
+      (match
+         fst
+           (Cec.check
+              (Cec.problem_of_circuits (Comb_view.of_sequential base)
+                 (Comb_view.of_sequential rw)))
+       with
       | Cec.Equivalent -> ()
       | Cec.Inequivalent _ | Cec.Undecided _ -> pf "REWRITE BUG on %s!@." name);
       let a0 = Circuit.area base and a1 = Circuit.area rw in
@@ -1656,10 +1664,10 @@ let micro () =
                ignore (Cbf.unroll ~exposed:(expose b) bld b)));
         Test.make ~name:"t1/cec-sweep-s953"
           (Staged.stage (fun () ->
-               ignore (Cec.check_problem ~engine:Cec.Sweep_engine problem)));
+               ignore (Cec.check ~config:(with_engine Cec.Sweep_engine) problem)));
         Test.make ~name:"t1/cec-bdd-s953"
           (Staged.stage (fun () ->
-               ignore (Cec.check_problem ~engine:Cec.Bdd_engine problem)));
+               ignore (Cec.check ~config:(with_engine Cec.Bdd_engine) problem)));
         Test.make ~name:"t2/exposure-ex3"
           (Staged.stage (fun () ->
                ignore (Feedback.plan_functional (Workloads.by_name "ex3"))));

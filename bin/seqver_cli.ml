@@ -72,12 +72,12 @@ let jobs_arg =
     & opt jobs_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker-domain cap for the combinational check, or $(b,auto) for \
-           the machine's recommended domain count.  With N > 1 a problem \
-           whose estimated cost clears the layout threshold is partitioned \
-           into cost-balanced bins and checked in parallel (never more \
-           domains than bins); small problems and $(b,--jobs 1) keep the \
-           monolithic single-domain check.")
+          "Size of the domain pool the command runs its checks on, or \
+           $(b,auto) for the machine's recommended domain count.  With N > 1 \
+           a problem whose estimated cost clears the layout threshold is \
+           partitioned into cost-balanced bins and checked in parallel \
+           (never more domains than bins); small problems and $(b,--jobs 1) \
+           keep the monolithic single-domain check.")
 
 let timeout_arg =
   Arg.(
@@ -87,7 +87,9 @@ let timeout_arg =
         ~doc:
           "Wall-clock budget per miter partition.  A partition that cannot \
            be decided in time (after escalating through the engine ladder) \
-           reports UNDECIDED instead of running forever.")
+           reports UNDECIDED instead of running forever.  Default: none; \
+           with neither this flag nor $(b,--sat-conflicts) the engines run \
+           unbounded ($(b,client check): the server's budgets apply).")
 
 let sat_conflicts_arg =
   Arg.(
@@ -96,22 +98,34 @@ let sat_conflicts_arg =
     & info [ "sat-conflicts" ] ~docv:"N"
         ~doc:
           "Base conflict budget per SAT call; a blown budget escalates \
-           (larger-budget SAT, then BDDs) before reporting UNDECIDED.")
+           (larger-budget SAT, then BDDs) before reporting UNDECIDED.  \
+           Default: none, or 50000 when $(b,--timeout) is given; either \
+           budget flag also sets a 2M-node BDD ceiling ($(b,client check): \
+           a budget this flag leaves out is the server's).")
 
-(* With neither flag the engines run unbounded (the historical behavior);
-   either flag opts into the default ladder with the given caps. *)
-let limits_of timeout sat_conflicts =
-  match (timeout, sat_conflicts) with
-  | None, None -> Cec.no_limits
-  | _ ->
-      {
-        Cec.default_limits with
-        Cec.seconds = timeout;
-        sat_conflicts =
-          (match sat_conflicts with
-          | None -> Cec.default_limits.Cec.sat_conflicts
-          | some -> some);
-      }
+(* The check budgets.  With neither budget flag the engines run unbounded
+   (the historical behavior); either flag opts into the default ladder with
+   the given caps. *)
+let limits_arg =
+  let make timeout sat_conflicts =
+    match (timeout, sat_conflicts) with
+    | None, None -> Cec.no_limits
+    | _ ->
+        {
+          Cec.default_limits with
+          Cec.seconds = timeout;
+          sat_conflicts =
+            (match sat_conflicts with
+            | None -> Cec.default_limits.Cec.sat_conflicts
+            | some -> some);
+        }
+  in
+  Term.(const make $ timeout_arg $ sat_conflicts_arg)
+
+(* The check policy of verify, hier and serve: engine plus budgets. *)
+let cec_config_arg =
+  let make engine limits = { Cec.default_config with Cec.engine; limits } in
+  Term.(const make $ engine_arg $ limits_arg)
 
 (* ---- persistent verdict store (shared by verify and flow) ---- *)
 
@@ -327,8 +341,8 @@ let retime_cmd =
 (* ---- verify ---- *)
 
 let verify_cmd =
-  let run p1 p2 engine exposed no_rewrite guard jobs timeout sat_conflicts
-      cache_dir trace verbose obs_stats =
+  let run p1 p2 config exposed no_rewrite guard jobs cache_dir trace verbose
+      obs_stats =
     let finish = obs_setup ~trace ~verbose ~stats:obs_stats in
     let store = Option.map open_store cache_dir in
     let quit code =
@@ -337,11 +351,12 @@ let verify_cmd =
       exit code
     in
     let c1 = load p1 and c2 = load p2 in
-    let limits = limits_of timeout sat_conflicts in
+    let cache = Option.map (fun store -> Cec.Cache.create ~store ()) store in
     let outcome =
       match
-        Verify.check ~engine ~jobs ~limits ?store
-          ~rewrite_events:(not no_rewrite) ~guard_events:guard ~exposed c1 c2
+        Par.Pool.with_jobs ~jobs (fun pool ->
+            Verify.check ~config ?pool ?cache ~rewrite_events:(not no_rewrite)
+              ~guard_events:guard ~exposed c1 c2)
       with
       | Ok o -> o
       | Error d ->
@@ -394,9 +409,8 @@ let verify_cmd =
       const run
       $ circuit_arg ~pos:0 ~doc:"First netlist."
       $ circuit_arg ~pos:1 ~doc:"Second netlist."
-      $ engine_arg $ exposed_arg $ no_rewrite $ guard $ jobs_arg $ timeout_arg
-      $ sat_conflicts_arg $ cache_dir_arg $ trace_arg $ verbose_arg
-      $ obs_stats_arg)
+      $ cec_config_arg $ exposed_arg $ no_rewrite $ guard $ jobs_arg
+      $ cache_dir_arg $ trace_arg $ verbose_arg $ obs_stats_arg)
   in
   Cmd.v
     (Cmd.info "verify"
@@ -455,13 +469,11 @@ let redundancy_cmd =
 (* ---- flow ---- *)
 
 let flow_cmd =
-  let run path jobs period timeout sat_conflicts cache_dir trace verbose
-      obs_stats =
+  let run path config jobs period cache_dir trace verbose obs_stats =
     let finish = obs_setup ~trace ~verbose ~stats:obs_stats in
     let store = Option.map open_store cache_dir in
     let c = load path in
-    let limits = limits_of timeout sat_conflicts in
-    match Flow.run ~jobs ~limits ?store ?period c with
+    match Flow.run ~config ~jobs ?store ?period c with
     | Error d ->
         Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
         Option.iter Store.close store;
@@ -494,9 +506,11 @@ let flow_cmd =
   in
   let term =
     Term.(
-      const run $ circuit_arg ~pos:0 ~doc:"Input netlist." $ jobs_arg $ period
-      $ timeout_arg $ sat_conflicts_arg $ cache_dir_arg $ trace_arg
-      $ verbose_arg $ obs_stats_arg)
+      const run $ circuit_arg ~pos:0 ~doc:"Input netlist."
+      $ (const (fun limits -> { Cec.default_config with Cec.limits })
+        $ limits_arg)
+      $ jobs_arg $ period $ cache_dir_arg $ trace_arg $ verbose_arg
+      $ obs_stats_arg)
   in
   Cmd.v (Cmd.info "flow" ~doc:"Run the full Fig. 19 experimental flow.") term
 
@@ -583,8 +597,7 @@ let generate_cmd =
 (* ---- hier ---- *)
 
 let hier_cmd =
-  let run name list_only flat engine jobs timeout sat_conflicts cache_dir trace
-      verbose obs_stats =
+  let run name list_only flat config jobs cache_dir trace verbose obs_stats =
     let suite = Workloads.hier_suite () in
     if list_only then begin
       List.iter
@@ -620,7 +633,6 @@ let hier_cmd =
       finish ();
       exit code
     in
-    let limits = limits_of timeout sat_conflicts in
     if flat then begin
       (* monolithic reference: flatten both designs and run one Verify.check *)
       let c1 = Hier.flatten dl and c2 = Hier.flatten dr in
@@ -628,7 +640,11 @@ let hier_cmd =
         List.map (Circuit.signal_name c1)
           (Feedback.plan_structural c1).Feedback.exposed
       in
-      match Verify.check ~engine ~jobs ~limits ?store ~exposed c1 c2 with
+      let cache = Option.map (fun store -> Cec.Cache.create ~store ()) store in
+      match
+        Par.Pool.with_jobs ~jobs (fun pool ->
+            Verify.check ~config ?pool ?cache ~exposed c1 c2)
+      with
       | Error d ->
           Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
           quit 1
@@ -645,7 +661,7 @@ let hier_cmd =
           | Verify.Undecided _ -> quit 2)
     end
     else begin
-      let r = Hier.check ~engine ~jobs ~limits ?store dl dr in
+      let r = Hier.check ~config ~jobs ?store dl dr in
       Format.printf "%-12s %-9s %-6s %-8s %s@." "MODULE" "MODE" "SRC"
         "VERDICT" "SECONDS";
       List.iter
@@ -709,8 +725,8 @@ let hier_cmd =
   in
   let term =
     Term.(
-      const run $ name_arg $ list_arg $ flat_arg $ engine_arg $ jobs_arg
-      $ timeout_arg $ sat_conflicts_arg $ cache_dir_arg $ trace_arg
+      const run $ name_arg $ list_arg $ flat_arg $ cec_config_arg $ jobs_arg
+      $ cache_dir_arg $ trace_arg
       $ verbose_arg $ obs_stats_arg)
   in
   Cmd.v
@@ -731,16 +747,15 @@ let socket_arg =
         ~doc:"Unix-domain socket path (created by serve, dialed by client).")
 
 let serve_cmd =
-  let run socket executors jobs max_pending timeout sat_conflicts cache_dir
-      engine metrics_addr trace_sample slow_ms =
+  let run socket executors jobs max_pending cec cache_dir metrics_addr
+      trace_sample slow_ms =
     let cfg =
       {
         Server.socket_path = socket;
         executors;
         pool_jobs = jobs;
         max_pending;
-        limits = limits_of timeout sat_conflicts;
-        engine;
+        cec;
         cache_dir;
         metrics_addr;
         trace_sample;
@@ -803,8 +818,8 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ socket_arg $ executors $ jobs_arg $ max_pending $ timeout_arg
-      $ sat_conflicts_arg $ cache_dir_arg $ engine_arg $ metrics_addr
+      const run $ socket_arg $ executors $ jobs_arg $ max_pending
+      $ cec_config_arg $ cache_dir_arg $ metrics_addr
       $ trace_sample $ slow_ms)
   in
   Cmd.v
@@ -969,7 +984,10 @@ let client_cmd =
         value
         & opt (some int) None
         & info [ "j"; "jobs" ] ~docv:"N"
-            ~doc:"Narrow this request's pool parallelism.")
+            ~doc:
+              "1 checks this request without the server's pool (a \
+               monolithic check); any other value runs it on the whole \
+               shared pool, as when the flag is absent.")
     in
     Cmd.v
       (Cmd.info "check"

@@ -12,7 +12,8 @@ let () =
      atomic load, so libraries stay instrumented in production. *)
   Obs.enable ();
 
-  (match Flow.run ~jobs:2 ~limits:Cec.default_limits circuit with
+  let config = { Cec.default_config with limits = Cec.default_limits } in
+  (match Flow.run ~config ~jobs:2 circuit with
   | Error d -> failwith (Seqprob.diagnosis_to_string d)
   | Ok row ->
       Format.printf "%s: verdict %s, verify %.3fs@." row.Flow.name

@@ -25,6 +25,12 @@ let default_limits =
     escalate = true;
   }
 
+type layout = Adaptive | Monolithic | Partitioned
+type config = { engine : engine; limits : limits; layout : layout }
+
+let default_config =
+  { engine = Sweep_engine; limits = no_limits; layout = Adaptive }
+
 type stats = {
   sat_calls : int;
   sim_rounds : int;
@@ -860,8 +866,7 @@ let check_monolithic ~engine ~limits ~cache p =
   | Equivalent | Inequivalent _ -> ());
   (v, stats_of_counters ~partitions:1 [| ct |])
 
-let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
-    =
+let check_partitioned ~engine ~pool ~limits ~cache ~forced (p : Seqprob.t) =
   if p.outs1 = [] then (Equivalent, empty_stats)
   else begin
     let o1 = Array.of_list p.outs1 and o2 = Array.of_list p.outs2 in
@@ -943,11 +948,10 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
       in
       let found =
         (* one pool task per scheduling bin; a task checks its clusters in
-           ascending index order.  Never spawn more workers than bins.
-           With a caller-supplied pool (the shared server pool) the batch
-           runs on it as-is — the pool's lazy demand-driven worker sizing
-           already never spawns more domains than there are outstanding
-           tasks — and the pool is left running for the next batch. *)
+           ascending index order.  The borrowed pool's lazy demand-driven
+           worker sizing never spawns more domains than there are
+           outstanding tasks, and it is left running for the next batch;
+           without a pool the bins run in order on this domain. *)
         let bins = layout.Layout.bins in
         let search pool =
           Par.Pool.find_first ~found:cancel pool
@@ -966,7 +970,7 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
         in
         match pool with
         | Some pool -> search pool
-        | None -> Par.Pool.with_pool ~jobs:(min jobs (List.length bins)) search
+        | None -> Par.Pool.with_pool ~jobs:1 search
       in
       let stats =
         {
@@ -993,26 +997,11 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
     end
   end
 
-let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
-    ?(limits = no_limits) ?cache ?store (p : Seqprob.t) =
+let check ?(config = default_config) ?pool ?cache (p : Seqprob.t) =
   if List.length p.outs1 <> List.length p.outs2 then
     invalid_arg "Cec: output counts differ";
-  (* [store] is only consulted when the caller supplies no cache: a
-     caller-provided cache decides its own backing *)
-  let cache =
-    match (cache, store) with
-    | (Some _ as c), _ -> c
-    | None, Some st -> Some (Cache.create ~store:st ())
-    | None, None -> cache
-  in
-  (* a shared pool implies its own parallelism level unless the caller
-     narrows it (e.g. a per-request jobs cap below the server's pool) *)
-  let jobs =
-    match (jobs, pool) with
-    | Some j, _ -> max 1 j
-    | None, Some pl -> Par.Pool.jobs pl
-    | None, None -> 1
-  in
+  let { engine; limits; layout } = config in
+  let jobs = match pool with Some pl -> Par.Pool.jobs pl | None -> 1 in
   (* elapsed_seconds is the true wall clock of the whole check, derived
      from the enclosing span — in parallel runs the per-engine CPU-second
      sums can legitimately exceed it *)
@@ -1025,26 +1014,16 @@ let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
           ("outputs", Obs.Int (List.length p.outs1));
         ]
       (fun () ->
-        match partition with
-        | Some true ->
-            (* forced: always lay out and run per-cluster, the historical
-               [~partition:true] contract tests rely on *)
-            check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced:true p
-        | Some false -> check_monolithic ~engine ~limits ~cache p
-        | None when jobs > 1 ->
-            (* adaptive: the layout's cost model decides — monolithic
-               below the threshold, cost-packed bins above *)
-            check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced:false p
-        | None -> check_monolithic ~engine ~limits ~cache p)
+        match layout with
+        | Partitioned ->
+            check_partitioned ~engine ~pool ~limits ~cache ~forced:true p
+        | Adaptive when jobs > 1 ->
+            (* the layout's cost model decides — monolithic below the
+               threshold, cost-packed bins above *)
+            check_partitioned ~engine ~pool ~limits ~cache ~forced:false p
+        | Adaptive | Monolithic -> check_monolithic ~engine ~limits ~cache p)
   in
   (v, { stats with elapsed_seconds = elapsed })
-
-let check_problem ?engine ?jobs ?pool ?partition ?limits ?cache ?store p =
-  fst
-    (check_problem_with_stats ?engine ?jobs ?pool ?partition ?limits ?cache
-       ?store p)
-
-(* ---------- Circuit.t entry points (thin wrappers) ---------- *)
 
 let problem_of_circuits c1 c2 =
   require_comb c1;
@@ -1054,16 +1033,6 @@ let problem_of_circuits c1 c2 =
   | Error (Seqprob.Output_arity_mismatch _) ->
       invalid_arg "Cec: output counts differ"
   | Error d -> invalid_arg (Seqprob.diagnosis_to_string d)
-
-let check_with_stats ?engine ?jobs ?pool ?partition ?limits ?cache ?store c1 c2
-    =
-  check_problem_with_stats ?engine ?jobs ?pool ?partition ?limits ?cache ?store
-    (problem_of_circuits c1 c2)
-
-let check ?engine ?jobs ?pool ?partition ?limits ?cache ?store c1 c2 =
-  fst
-    (check_with_stats ?engine ?jobs ?pool ?partition ?limits ?cache ?store c1
-       c2)
 
 let counterexample_is_valid c1 c2 cex =
   (* The environment is keyed by the full variable, not just its base —

@@ -7,12 +7,12 @@
     variable universe — optionally run in parallel over cone-clustered
     output partitions of the miter.
 
-    {!check_problem} is the native entry point; the unrollers ({!Cbf},
-    {!Edbf}) build problems directly.  The [Circuit.t] entry points are
-    thin wrappers that wrap two combinational netlists into a problem
-    first (inputs matched {e by name} — each name becomes the variable
-    [Seqprob.Var.time name 0], and the universe is the union of both input
-    sets; outputs are matched by position). *)
+    {!check} is the one entry point; the unrollers ({!Cbf}, {!Edbf})
+    build problems directly, and {!problem_of_circuits} wraps two
+    combinational netlists into a problem (inputs matched {e by name} —
+    each name becomes the variable [Seqprob.Var.time name 0], and the
+    universe is the union of both input sets; outputs are matched by
+    position). *)
 
 type counterexample = (Seqprob.Var.t * bool) list
 (** Assignment to (a subset of) the problem's variables; unlisted variables
@@ -167,113 +167,90 @@ module Layout = Layout
     total-cost threshold, and cost-balanced packing of clusters into
     scheduling {e bins}.  See {!Layout.compute}. *)
 
-val check_problem :
-  ?engine:engine ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?partition:bool ->
-  ?limits:limits ->
-  ?cache:Cache.t ->
-  ?store:Store.t ->
-  Seqprob.t ->
-  verdict
-(** Decides equivalence of the problem's two output-cone groups.  Default
-    engine: [Sweep_engine]; default limits: {!no_limits}.
+type layout =
+  | Adaptive
+      (** the {!Layout} cost model decides — but only when the check runs
+          on a pool with [Par.Pool.jobs > 1]; without one (or on a 1-job
+          pool) the check is monolithic *)
+  | Monolithic  (** one miter check, never partitioned *)
+  | Partitioned
+      (** always lay the miter out in clusters and check them one by one
+          (in parallel on a pool with [jobs > 1]) *)
 
-    With [jobs > 1] the split is {e adaptive}, driven by the {!Layout}
-    cost model: below a total-cost threshold the whole miter is checked
-    in one piece (no layout, no {!Par.Pool} spin-up — parallelism costs
-    nothing on small problems), and above it the miter is split into
-    output-cone {e clusters} — each an independent check by soundness of
-    output splitting.  Output pairs whose fanin cones (in the shared AIG)
+type config = { engine : engine; limits : limits; layout : layout }
+(** The check's policy: which engine, under which budgets, in which
+    layout.  Execution resources (a pool, a cache) are not policy and are
+    passed to {!check} as handles. *)
+
+val default_config : config
+(** [Sweep_engine], {!no_limits}, [Adaptive]. *)
+
+val check :
+  ?config:config ->
+  ?pool:Par.Pool.t ->
+  ?cache:Cache.t ->
+  Seqprob.t ->
+  verdict * stats
+(** Decides equivalence of the problem's two output-cone groups under
+    [config] (default {!default_config}), returning the verdict and the
+    per-check statistics.
+
+    {b Layout.}  A partitioned check splits the miter into output-cone
+    {e clusters} — each an independent check by soundness of output
+    splitting.  Output pairs whose fanin cones (in the shared AIG)
     overlap by at least half of the smaller cone are clustered together
     (so shared logic is swept once); each cluster is checked — and cached
     — on its own, and clusters are packed by estimated cost (refined by
     observed engine seconds when the cache or store has seen a cluster's
     cone before) into cost-proportional scheduling {e bins}, the unit of
     pool work.  Cluster boundaries depend only on the problem — never on
-    [jobs], never on cache state — so verdicts and cache keys are
+    the pool, never on cache state — so verdicts and cache keys are
     identical at every parallelism level; bin shapes may vary with cost
-    priors but never influence a verdict.  [~partition:true] forces the
-    clustered path regardless of cost; [~partition:false] forces the
-    monolithic check.  Clusters are carved out of the problem graph with
-    {!Aig.extract} — no netlist round-trip — and bins run on a lazily
-    spawned {!Par.Pool} of at most [min jobs bins] domains.
+    priors but never influence a verdict.  Clusters are carved out of the
+    problem graph with {!Aig.extract} — no netlist round-trip.  Under
+    [Adaptive] with a pool of [jobs > 1], a problem below the cost
+    threshold is checked in one piece (no layout, no worker spin-up —
+    parallelism costs nothing on small problems) and one above it is
+    partitioned.
 
-    {b Shared pools.}  [pool] runs the partitioned search on a
-    caller-owned pool instead of a per-check one: the pool is {e not}
-    shut down afterwards, and — because {!Par.Pool} is safe under
-    concurrent submitters — many simultaneous checks (the verification
-    server's concurrent requests) may share one pool, whose lazy
-    demand-driven sizing never spawns more domains than outstanding bins
-    warrant.  When [pool] is given and [jobs] is not, the parallelism
-    level defaults to the pool's [jobs]; an explicit [jobs] below that
-    narrows this one check (and [~jobs:1] keeps it monolithic).
+    {b Resources are borrowed.}  The caller owns [pool] and [cache]:
+    neither is shut down nor cleared here.  Parallelism comes only from
+    [pool]; without one, every cluster runs on the calling domain.  Because
+    {!Par.Pool} is safe under concurrent submitters, many simultaneous
+    checks (the verification server's concurrent requests) may share one
+    pool, whose lazy demand-driven sizing never spawns more domains than
+    outstanding bins warrant.  [cache] shares verdicts across checks; a
+    persistent store reaches the check only as the backing of a cache
+    ({!Cache.create} [~store]).  Without [cache], a partitioned check uses
+    a fresh cache of its own and a monolithic check caches nothing.
+    [Undecided] answers are never cached.
 
-    {b Budgets.}  With [limits] set, each cluster checks under its own
-    wall-clock deadline and each SAT call / BDD build under its resource
-    cap; a blown budget climbs the escalation ladder (requested engine at
-    base budget → SAT at a larger conflict budget → BDD under the node
-    ceiling) before giving up.  A partition that still cannot be decided
-    makes the overall verdict [Undecided] — unless some other partition
-    finds a counterexample, which always wins.  Budgets never flip a
-    verdict: anything short of a full proof or a concrete counterexample
-    is reported as [Undecided], never as [Equivalent].
+    {b Budgets.}  Each cluster checks under its own wall-clock deadline
+    and each SAT call / BDD build under its resource cap
+    ([config.limits]); a blown budget climbs the escalation ladder
+    (requested engine at base budget → SAT at a larger conflict budget →
+    BDD under the node ceiling) before giving up.  A partition that still
+    cannot be decided makes the overall verdict [Undecided] — unless some
+    other partition finds a counterexample, which always wins.  Budgets
+    never flip a verdict: anything short of a full proof or a concrete
+    counterexample is reported as [Undecided], never as [Equivalent].
 
     {b Cancellation.}  The moment any partition finds a counterexample a
     shared flag is set and every in-flight sibling solver stops mid-solve.
     The {e verdict} is still deterministic, but under parallel cancellation
-    the reported counterexample may come from any failing partition (at
-    [jobs = 1] partitions run in order, so it is the lowest-index one).
-    A fresh {!Cache} is used per check unless [cache] supplies a shared
-    one; [Undecided] answers are never cached.  [store] is shorthand for
-    [~cache:(Cache.create ~store ())] — a persistent verdict store backing
-    a fresh per-check cache — and is ignored when [cache] is given (a
-    caller-provided cache decides its own backing).
+    the reported counterexample may come from any failing partition
+    (without a pool, or on a 1-job pool, partitions run in order, so it is
+    the lowest-index one).
 
     @raise Invalid_argument if the two output groups differ in length
     (impossible for problems built by {!Seqprob.problem}). *)
 
-val check_problem_with_stats :
-  ?engine:engine ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?partition:bool ->
-  ?limits:limits ->
-  ?cache:Cache.t ->
-  ?store:Store.t ->
-  Seqprob.t ->
-  verdict * stats
-(** Like {!check_problem}, also returning the per-check statistics. *)
-
-val check :
-  ?engine:engine ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?partition:bool ->
-  ?limits:limits ->
-  ?cache:Cache.t ->
-  ?store:Store.t ->
-  Circuit.t ->
-  Circuit.t ->
-  verdict
-(** [Circuit.t] wrapper over {!check_problem}: wraps the two circuits via
-    {!Seqprob.of_circuits} (inputs united by name at time 0).
+val problem_of_circuits : Circuit.t -> Circuit.t -> Seqprob.t
+(** Wraps two combinational netlists into a problem via
+    {!Seqprob.of_circuits} (inputs united by name at time 0, outputs
+    matched by position), for checking them with {!check}.
     @raise Invalid_argument if either circuit contains latches or the
     output counts differ. *)
-
-val check_with_stats :
-  ?engine:engine ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?partition:bool ->
-  ?limits:limits ->
-  ?cache:Cache.t ->
-  ?store:Store.t ->
-  Circuit.t ->
-  Circuit.t ->
-  verdict * stats
-(** Like {!check}, also returning the per-check statistics. *)
 
 val counterexample_is_valid :
   Circuit.t -> Circuit.t -> counterexample -> bool

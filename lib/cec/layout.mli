@@ -74,7 +74,7 @@ val compute :
     monolithic when the total base estimate is under [threshold] {e or}
     the mean cluster cost is under {!min_mean_cluster_cost}.
     [~forced:true] disables the monolithic fast path (the
-    [~partition:true] contract).
+    [Partitioned] layout of {!Cec.config}).
     [prior] maps a cluster's signature to observed engine seconds from an
     earlier check (result cache / persistent store); a prior replaces that
     cluster's estimate for {e packing} purposes only — the monolithic

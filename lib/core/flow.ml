@@ -81,7 +81,7 @@ let regular_latches_only a =
         (Seqprob.Hidden_enabled_latch
            { circuit = Circuit.name a; latch = Circuit.signal_name a l })
 
-let circuits ?engine:_ a =
+let circuits a =
   let* () = regular_latches_only a in
   let plan = Feedback.plan_structural a in
   let exposed_names = List.map (Circuit.signal_name a) plan.Feedback.exposed in
@@ -89,22 +89,15 @@ let circuits ?engine:_ a =
   let* c = optimize_c ~exposed_names b in
   Ok (b, c)
 
-let run ?engine ?jobs ?limits ?cache ?store ?period ?(skip_verify = false) a =
+let run ?config ?(jobs = 1) ?store ?period ?(skip_verify = false) a =
   Obs.span ~name:"flow.run"
     ~attrs:[ ("circuit", Obs.String (Circuit.name a)) ]
   @@ fun () ->
   Circuit.check a;
   let* () = regular_latches_only a in
-  (* the retime stages share one domain pool with the verification sweep's
-     [?jobs] budget; [None] (or jobs <= 1) keeps them sequential *)
-  let pool =
-    match jobs with
-    | Some j when j > 1 -> Some (Par.Pool.create ~jobs:j)
-    | Some _ | None -> None
-  in
-  Fun.protect ~finally:(fun () ->
-      match pool with Some p -> Par.Pool.shutdown p | None -> ())
-  @@ fun () ->
+  (* one domain pool of [jobs] serves the retime stages and the H-vs-J
+     check; jobs <= 1 keeps both sequential *)
+  Par.Pool.with_jobs ~jobs @@ fun pool ->
   let stages = ref [] in
   (* one span per flow stage; the measured wall clock also lands in the
      row's [stage_seconds] so callers get per-phase times without a sink *)
@@ -161,8 +154,8 @@ let run ?engine ?jobs ?limits ?cache ?store ?period ?(skip_verify = false) a =
         }
     else
       stage "verify" (fun () ->
-          Verify.check ?engine ?jobs ?limits ?cache ?store
-            ~exposed:exposed_names b c)
+          let cache = Option.map (fun store -> Cec.Cache.create ~store ()) store in
+          Verify.check ?config ?pool ?cache ~exposed:exposed_names b c)
   in
   Ok
     {

@@ -40,19 +40,20 @@ type row = {
 val metrics_of : Circuit.t -> metrics
 
 val run :
-  ?engine:Cec.engine ->
+  ?config:Cec.config ->
   ?jobs:int ->
-  ?limits:Cec.limits ->
-  ?cache:Cec.Cache.t ->
   ?store:Store.t ->
   ?period:int ->
   ?skip_verify:bool ->
   Circuit.t ->
   (row, Seqprob.diagnosis) result
-(** Runs the full pipeline on a regular-latch circuit.  [jobs], [limits],
-    [cache] and [store] are passed to the H-vs-J combinational check (see
-    {!Verify.check}); a blown budget surfaces as a
-    [Verify.Undecided _] verdict in the row, never as an error.
+(** Runs the full pipeline on a regular-latch circuit.  [config] is the
+    H-vs-J combinational check's policy (see {!Verify.check}); a blown
+    budget surfaces as a [Verify.Undecided _] verdict in the row, never
+    as an error.  The flow owns its execution resources: [jobs] (default
+    1) sizes one {!Par.Pool} shared by the retime stages and the H-vs-J
+    check, shut down on return, and [store] backs the check's verdict
+    cache.
     [period], when given, replaces [D]'s delay as the clock-period target
     for the area-constrained retimings [E]/[G]; a user-supplied period is a
     hard constraint, so an unachievable one yields
@@ -68,7 +69,6 @@ val run :
     diagnosis from the embedded {!Verify.check} propagates unchanged. *)
 
 val circuits :
-  ?engine:Cec.engine ->
   Circuit.t ->
   (Circuit.t * Circuit.t, Seqprob.diagnosis) result
 (** Just [B] and [C] (exposed + optimized), for callers that want to verify

@@ -75,8 +75,8 @@ let build_problem ~rewrite_events ~guard_events ~ex1 ~ex2 c1 c2 =
         (i1.Cbf.replication, i2.Cbf.replication) )
   end
 
-let check ?engine ?jobs ?pool ?limits ?cache ?store ?(rewrite_events = true)
-    ?(guard_events = false) ?(exposed = []) c1 c2 =
+let check ?config ?pool ?cache ?(rewrite_events = true) ?(guard_events = false)
+    ?(exposed = []) c1 c2 =
   Obs.span ~name:"verify.check"
     ~attrs:
       [
@@ -92,9 +92,7 @@ let check ?engine ?jobs ?pool ?limits ?cache ?store ?(rewrite_events = true)
             build_problem ~rewrite_events ~guard_events ~ex1 ~ex2 c1 c2)
       in
       let* p, method_, depth, events, unrolled_gates = unrolled in
-      let cec_verdict, cec =
-        Cec.check_problem_with_stats ?engine ?jobs ?pool ?limits ?cache ?store p
-      in
+      let cec_verdict, cec = Cec.check ?config ?pool ?cache p in
       let verdict =
         match (cec_verdict, method_) with
         | Cec.Equivalent, _ -> Equivalent

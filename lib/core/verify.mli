@@ -56,12 +56,9 @@ val exposed_pred :
     {!Flow.run}. *)
 
 val check :
-  ?engine:Cec.engine ->
-  ?jobs:int ->
+  ?config:Cec.config ->
   ?pool:Par.Pool.t ->
-  ?limits:Cec.limits ->
   ?cache:Cec.Cache.t ->
-  ?store:Store.t ->
   ?rewrite_events:bool ->
   ?guard_events:bool ->
   ?exposed:string list ->
@@ -72,16 +69,13 @@ val check :
     [guard_events] (default false) additionally applies the
     event-consistency refinement of {!Edbf.unroll} — a sound strengthening
     beyond the published method that removes more EDBF false negatives.
-    [jobs] (default 1) runs the combinational check partitioned per output
-    cone on that many domains (see {!Cec.check_problem}); [pool] runs it
-    on a caller-owned (possibly shared) pool instead, which is left
-    running afterwards — the verification server passes one pool to every
-    concurrent request; [limits]
-    (default {!Cec.no_limits}) bounds the combinational engines and turns
-    a blown budget into an [Undecided] verdict; [cache] shares a
-    combinational result cache across checks, and [store] backs a fresh
-    per-check cache with a persistent verdict store instead (ignored when
-    [cache] is given — see {!Cec.check_problem}).
+    [config], [pool] and [cache] go to the combinational check unchanged
+    (see {!Cec.check}): [config] (default {!Cec.default_config}) picks the
+    engine, budgets and layout — a blown budget becomes an [Undecided]
+    verdict — while the borrowed [pool] supplies parallelism and the
+    borrowed [cache] (optionally store-backed) shares verdicts across
+    checks.  Neither handle is closed here; the verification server
+    passes one pool and one cache to every concurrent request.
 
     Diagnoses instead of exceptions: [No_such_latch] when an exposed name
     is missing or not a latch, [Non_exposed_cycle] when a sequential cycle

@@ -409,12 +409,15 @@ type report = {
 let mode_str = function Leaf -> "leaf" | Blackbox -> "blackbox" | Flat -> "flat"
 
 (* One Verify.check of a circuit pair, exposure cut from the left side's
-   structural feedback plan (the repo-wide "auto" convention). *)
-let run_pair ?engine ?jobs ?pool ?limits ?cache ?store l r =
+   structural feedback plan (the repo-wide "auto" convention), on a fresh
+   cache over the store: one cache per module pair keeps store and cache
+   hits attributable to the pair. *)
+let run_pair ?config ?pool ?store l r =
   let exposed =
     List.map (Circuit.signal_name l) (Feedback.plan_structural l).Feedback.exposed
   in
-  match Verify.check ?engine ?jobs ?pool ?limits ?cache ?store ~exposed l r with
+  let cache = Option.map (fun store -> Cec.Cache.create ~store ()) store in
+  match Verify.check ?config ?pool ?cache ~exposed l r with
   | Ok o -> (
       match o.Verify.verdict with
       | Verify.Equivalent -> (M_equivalent, None)
@@ -430,11 +433,13 @@ let boundaries_compatible (dl : design) (dr : design) name =
       l.ports_in = r.ports_in && l.out_count = r.out_count
       && l.instances = r.instances
 
-let check ?engine ?jobs ?pool ?limits ?cache ?store dl dr =
+let check ?config ?(jobs = 1) ?store dl dr =
   Obs.span ~name:"hier.check"
     ~attrs:
       [ ("left", Obs.String dl.design_name); ("right", Obs.String dr.design_name) ]
   @@ fun () ->
+  (* one pool of [jobs] serves every module check of the run *)
+  Par.Pool.with_jobs ~jobs @@ fun pool ->
   let t0 = Obs.Clock.now () in
   let reports = ref [] in
   let store_hits = ref 0 and checked = ref 0 and fallbacks = ref 0 in
@@ -456,7 +461,7 @@ let check ?engine ?jobs ?pool ?limits ?cache ?store dl dr =
       Obs.timed_span ~name:"hier.module"
         ~attrs:
           [ ("module", Obs.String mod_name); ("mode", Obs.String (mode_str mode)) ]
-        (fun () -> run_pair ?engine ?jobs ?pool ?limits ?cache ?store l r)
+        (fun () -> run_pair ?config ?pool ?store l r)
     in
     (v, cex, secs)
   in

@@ -187,11 +187,8 @@ type report = {
 }
 
 val check :
-  ?engine:Cec.engine ->
+  ?config:Cec.config ->
   ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?limits:Cec.limits ->
-  ?cache:Cec.Cache.t ->
   ?store:Store.t ->
   design ->
   design ->
@@ -202,8 +199,11 @@ val check :
     possible, otherwise checked ({!mode}) and its verdict persisted
     (kind ["hier"]; [Undecided] is never stored).  The first refuted
     module pair stops the run with an attributed [Inequivalent]; an
-    undecidable one stops with [Undecided].  The store also backs the
-    inner combinational checks, so even a cold ancestor re-check reuses
+    undecidable one stops with [Undecided].  [config] is the policy of
+    every module check (see {!Cec.check}).  The planner owns its
+    execution resources: [jobs] (default 1) sizes one {!Par.Pool} shared
+    by all module checks, and the store also backs each module pair's
+    own fresh verdict cache, so even a cold ancestor re-check reuses
     surviving cone verdicts.  Obs: span [hier.module] per check, counters
     [hier.module_checked], [hier.module_store_hits],
     [hier.flat_fallback]. *)

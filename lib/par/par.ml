@@ -95,6 +95,9 @@ module Pool = struct
     let p = create ~jobs in
     Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)
 
+  let with_jobs ~jobs f =
+    if jobs > 1 then with_pool ~jobs (fun p -> f (Some p)) else f None
+
   let run p n f =
     if n > 0 then begin
       if p.jobs = 1 || n = 1 then

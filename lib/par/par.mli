@@ -61,6 +61,11 @@ module Pool : sig
   val with_pool : jobs:int -> (t -> 'a) -> 'a
   (** [create], run, then [shutdown] (also on exception). *)
 
+  val with_jobs : jobs:int -> (t option -> 'a) -> 'a
+  (** {!with_pool} for [jobs > 1]; [f None] — no pool, a sequential
+      caller — otherwise.  The drivers' way to own the pool they lend
+      to their checks. *)
+
   val run : t -> int -> (int -> unit) -> unit
   (** [run p n f] executes [f 0 .. f (n-1)], distributing indices over
       the pool, and returns when all have completed.  If any task raises,

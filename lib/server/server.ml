@@ -19,8 +19,7 @@ type config = {
   executors : int;
   pool_jobs : int;
   max_pending : int;
-  limits : Cec.limits;
-  engine : Cec.engine;
+  cec : Cec.config;
   cache_dir : string option;
   metrics_addr : string option;
   trace_sample : int;
@@ -33,8 +32,7 @@ let default_config ~socket_path =
     executors = 2;
     pool_jobs = Par.cpu_count ();
     max_pending = 64;
-    limits = Cec.default_limits;
-    engine = Cec.Sweep_engine;
+    cec = { Cec.default_config with limits = Cec.default_limits };
     cache_dir = None;
     metrics_addr = None;
     trace_sample = 0;
@@ -202,22 +200,29 @@ let exposed_of req c1 =
         l
   | Some _ -> failwith "exposed: expected a list of names or \"auto\""
 
-let engine_of cfg req =
-  match Option.bind (Sjson.member "engine" req) Sjson.get_string with
-  | None -> cfg.engine
-  | Some "sweep" -> Cec.Sweep_engine
-  | Some "sat" -> Cec.Sat_engine
-  | Some "bdd" -> Cec.Bdd_engine
-  | Some other -> failwith (Printf.sprintf "unknown engine %S" other)
-
-let limits_of cfg req =
-  let timeout = Option.bind (Sjson.member "timeout" req) Sjson.get_float in
-  let sc = Option.bind (Sjson.member "sat_conflicts" req) Sjson.get_int in
-  let l = cfg.limits in
-  let l =
-    match timeout with Some s -> { l with Cec.seconds = Some s } | None -> l
+(* The request's check policy: the server's, with any of engine, timeout
+   and sat_conflicts the request names replaced. *)
+let cec_config_of cfg req =
+  let field get k = Option.bind (Sjson.member k req) get in
+  let c = cfg.cec and l = cfg.cec.Cec.limits in
+  let engine =
+    match field Sjson.get_string "engine" with
+    | None -> c.Cec.engine
+    | Some "sweep" -> Cec.Sweep_engine
+    | Some "sat" -> Cec.Sat_engine
+    | Some "bdd" -> Cec.Bdd_engine
+    | Some other -> failwith (Printf.sprintf "unknown engine %S" other)
   in
-  match sc with Some n -> { l with Cec.sat_conflicts = Some n } | None -> l
+  let or_default d = function None -> d | given -> given in
+  let limits =
+    {
+      l with
+      Cec.seconds = or_default l.Cec.seconds (field Sjson.get_float "timeout");
+      sat_conflicts =
+        or_default l.Cec.sat_conflicts (field Sjson.get_int "sat_conflicts");
+    }
+  in
+  { c with Cec.engine; limits }
 
 (* ---------- the check itself (executor domain) ---------- *)
 
@@ -229,13 +234,15 @@ let check_response t req =
     let c1 = circuit_of req "left" in
     let c2 = circuit_of req "right" in
     let exposed = exposed_of req c1 in
-    let engine = engine_of t.cfg req in
-    let limits = limits_of t.cfg req in
-    let jobs = Option.bind (Sjson.member "jobs" req) Sjson.get_int in
-    match
-      Verify.check ~engine ?jobs ~pool:t.pool ~limits ~cache:t.cache ~exposed
-        c1 c2
-    with
+    let config = cec_config_of t.cfg req in
+    (* "jobs":1 (or less) runs the check without the pool, hence
+       monolithic; otherwise it runs on the whole shared pool *)
+    let pool =
+      match Option.bind (Sjson.member "jobs" req) Sjson.get_int with
+      | Some j when j <= 1 -> None
+      | Some _ | None -> Some t.pool
+    in
+    match Verify.check ~config ?pool ~cache:t.cache ~exposed c1 c2 with
     | Error d -> (error_response id (Seqprob.diagnosis_to_string d), None)
     | Ok outcome ->
         let s = outcome.Verify.stats in
@@ -249,7 +256,7 @@ let check_response t req =
         let meta =
           {
             m_verdict = verdict_str;
-            m_engine = Cec.engine_name (engine_of t.cfg req);
+            m_engine = Cec.engine_name config.Cec.engine;
             m_escalations = cec.Cec.escalations;
             m_phases =
               {
@@ -408,13 +415,13 @@ let config_json cfg =
       ("executors", Sjson.Int cfg.executors);
       ("pool_jobs", Sjson.Int cfg.pool_jobs);
       ("max_pending", Sjson.Int cfg.max_pending);
-      ("engine", Sjson.String (Cec.engine_name cfg.engine));
+      ("engine", Sjson.String (Cec.engine_name cfg.cec.Cec.engine));
       ( "timeout_seconds",
-        match cfg.limits.Cec.seconds with
+        match cfg.cec.Cec.limits.Cec.seconds with
         | None -> Sjson.Null
         | Some s -> Sjson.Float s );
       ( "sat_conflicts",
-        match cfg.limits.Cec.sat_conflicts with
+        match cfg.cec.Cec.limits.Cec.sat_conflicts with
         | None -> Sjson.Null
         | Some n -> Sjson.Int n );
       ( "cache_dir",

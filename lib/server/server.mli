@@ -68,8 +68,12 @@
     or inline {!Netlist_io} text.  [exposed] is a list of latch names,
     or ["auto"] (the default) for {!Feedback.plan_structural} on [left].
     [engine] is ["sweep"]/["sat"]/["bdd"]; [timeout] and [sat_conflicts]
-    build the request's {!Cec.limits} (defaulting to the server's);
-    [jobs] narrows the pool parallelism for this one request.
+    build the request's {!Cec.limits} (each defaulting to the server's
+    [cec] policy).  [jobs] does not size anything — the shared pool is
+    always used whole: ["jobs":1] (or less) checks this request without
+    the pool, so the check is monolithic; any other value, or no [jobs],
+    runs it on the shared pool, where the adaptive layout may partition
+    it.
     An [inequivalent] response carries ["cex":[[var,bool],...]] when the
     counterexample is certified (CBF) and ["certified":false] when it is
     the conservative EDBF rejection.  Failures (bad netlist, unknown
@@ -117,8 +121,9 @@ type config = {
   executors : int;  (** worker domains draining the admission queue *)
   pool_jobs : int;  (** parallelism of the one shared {!Par.Pool} *)
   max_pending : int;  (** admission bound: queued (unstarted) requests *)
-  limits : Cec.limits;  (** default per-request budgets *)
-  engine : Cec.engine;  (** default engine *)
+  cec : Cec.config;
+      (** default check policy: engine, budgets and layout; a request may
+          replace the engine and the budgets *)
   cache_dir : string option;
       (** back the shared cache with one persistent store *)
   metrics_addr : string option;
@@ -138,7 +143,8 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** 2 executors, pool of {!Par.cpu_count} jobs, 64 pending,
-    {!Cec.default_limits}, sweep engine, no store, no HTTP metrics
+    sweep engine under {!Cec.default_limits} in the [Adaptive] layout,
+    no store, no HTTP metrics
     listener, no periodic sampling, [slow_ms = 500.]. *)
 
 type t

@@ -1,6 +1,15 @@
 (* Shared random-circuit generators for the test suite.  All generators are
    deterministic given the Random.State. *)
 
+(* One Cec.check of two combinational circuits, the tests' route to the
+   checker's single entry point: [jobs] > 1 runs it on a fresh pool of that
+   size, none at 1. *)
+let cec ?(engine = Cec.Sweep_engine) ?(limits = Cec.no_limits)
+    ?(layout = Cec.Adaptive) ?(jobs = 1) ?cache c1 c2 =
+  let config = { Cec.engine; limits; layout } in
+  let p = Cec.problem_of_circuits c1 c2 in
+  Par.Pool.with_jobs ~jobs (fun pool -> Cec.check ~config ?pool ?cache p)
+
 let gate_fn_of_int n : Circuit.gate_fn =
   match n mod 9 with
   | 0 -> And

@@ -15,7 +15,7 @@ let test_equivalent_rewrites () =
     let c2 = Gen.demorganize c1 in
     List.iter
       (fun (nm, e) ->
-        match Cec.check ~engine:e c1 c2 with
+        match fst (Gen.cec ~engine:e c1 c2) with
         | Cec.Equivalent -> ()
         | Cec.Inequivalent _ -> Alcotest.fail (nm ^ ": false inequivalence")
         | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" nm r)
@@ -32,7 +32,7 @@ let test_seeded_bugs_found () =
     let c2 = Gen.negate_one_output (Gen.demorganize c1) in
     List.iter
       (fun (nm, e) ->
-        match Cec.check ~engine:e c1 c2 with
+        match fst (Gen.cec ~engine:e c1 c2) with
         | Cec.Equivalent -> Alcotest.fail (nm ^ ": missed seeded bug")
         | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" nm r
         | Cec.Inequivalent cex ->
@@ -50,7 +50,7 @@ let test_engines_agree () =
     let verdicts =
       List.map
         (fun (_, e) ->
-          match Cec.check ~engine:e c1 c2 with
+          match fst (Gen.cec ~engine:e c1 c2) with
           | Cec.Equivalent -> true
           | Cec.Inequivalent _ -> false
           | Cec.Undecided r -> Alcotest.failf "undecided: %s" r)
@@ -92,7 +92,7 @@ let test_vs_brute_force () =
     List.iter
       (fun (nm, e) ->
         let got =
-          match Cec.check ~engine:e c1 c2 with
+          match fst (Gen.cec ~engine:e c1 c2) with
           | Cec.Equivalent -> true
           | Cec.Inequivalent _ -> false
           | Cec.Undecided r -> Alcotest.failf "undecided: %s" r
@@ -112,7 +112,7 @@ let test_constants () =
   Circuit.check c2;
   List.iter
     (fun (nm, e) ->
-      match Cec.check ~engine:e c1 c2 with
+      match fst (Gen.cec ~engine:e c1 c2) with
       | Cec.Equivalent -> ()
       | Cec.Inequivalent _ -> Alcotest.fail (nm ^ ": tautology not proven")
       | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" nm r)
@@ -124,7 +124,7 @@ let test_rejects_latches () =
   Circuit.mark_output c (Circuit.add_latch c ~data:d ());
   Circuit.check c;
   try
-    ignore (Cec.check c c);
+    ignore (Gen.cec c c);
     Alcotest.fail "latch accepted"
   with Invalid_argument _ -> ()
 
@@ -132,7 +132,7 @@ let test_output_count_mismatch () =
   let c1 = Gen.comb st ~name:"o1" ~inputs:2 ~gates:5 ~outputs:1 in
   let c2 = Gen.comb st ~name:"o2" ~inputs:2 ~gates:5 ~outputs:2 in
   try
-    ignore (Cec.check c1 c2);
+    ignore (Gen.cec c1 c2);
     Alcotest.fail "output mismatch accepted"
   with Invalid_argument _ -> ()
 
@@ -150,7 +150,7 @@ let test_disjoint_inputs_free () =
   Circuit.check c2;
   List.iter
     (fun (nm, e) ->
-      match Cec.check ~engine:e c1 c2 with
+      match fst (Gen.cec ~engine:e c1 c2) with
       | Cec.Equivalent -> Alcotest.fail (nm ^ ": y dependence missed")
       | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" nm r
       | Cec.Inequivalent cex ->
@@ -163,7 +163,7 @@ let test_sweep_on_identical_structures () =
      final miter (internal equivalences collapse it) *)
   let c1 = Gen.comb st ~name:"same" ~inputs:4 ~gates:60 ~outputs:2 in
   let c2 = Gen.demorganize c1 in
-  let v, stats = Cec.check_with_stats ~engine:Cec.Sweep_engine c1 c2 in
+  let v, stats = Gen.cec ~engine:Cec.Sweep_engine c1 c2 in
   (match v with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ | Cec.Undecided _ -> Alcotest.fail "sweep failed");
@@ -186,7 +186,7 @@ let test_parallel_agrees_on_equivalent () =
     let parts_seen =
       List.map
         (fun jobs ->
-          let v, stats = Cec.check_with_stats ~jobs ~partition:true c1 c2 in
+          let v, stats = Gen.cec ~jobs ~layout:Cec.Partitioned c1 c2 in
           (match v with
           | Cec.Equivalent -> ()
           | Cec.Inequivalent _ | Cec.Undecided _ ->
@@ -214,7 +214,7 @@ let test_parallel_agrees_on_bugs () =
     let c2 = Gen.negate_one_output (Gen.demorganize c1) in
     List.iter
       (fun jobs ->
-        match Cec.check ~jobs ~partition:true c1 c2 with
+        match fst (Gen.cec ~jobs ~layout:Cec.Partitioned c1 c2) with
         | Cec.Equivalent ->
             Alcotest.fail (Printf.sprintf "jobs=%d: missed seeded bug" jobs)
         | Cec.Undecided r -> Alcotest.failf "jobs=%d: undecided: %s" jobs r
@@ -236,14 +236,14 @@ let test_parallel_matches_sequential_verdict () =
     List.iter
       (fun (nm, e) ->
         let mono =
-          match Cec.check ~engine:e c1 c2 with
+          match fst (Gen.cec ~engine:e c1 c2) with
           | Cec.Equivalent -> true
           | Cec.Inequivalent _ -> false
           | Cec.Undecided r -> Alcotest.failf "undecided: %s" r
         in
         List.iter
           (fun jobs ->
-            match Cec.check ~engine:e ~jobs ~partition:true c1 c2 with
+            match fst (Gen.cec ~engine:e ~jobs ~layout:Cec.Partitioned c1 c2) with
             | Cec.Equivalent ->
                 Alcotest.(check bool) (Printf.sprintf "%s jobs=%d" nm jobs) mono true
             | Cec.Undecided r -> Alcotest.failf "%s jobs=%d undecided: %s" nm jobs r
@@ -261,17 +261,17 @@ let test_cache_hits_identical_verdicts () =
   let cache = Cec.Cache.create () in
   let c1 = Gen.comb st ~name:"cachea" ~inputs:5 ~gates:40 ~outputs:3 in
   let c2 = Gen.demorganize c1 in
-  let v1, s1 = Cec.check_with_stats ~partition:true ~cache c1 c2 in
+  let v1, s1 = Gen.cec ~layout:Cec.Partitioned ~cache c1 c2 in
   Alcotest.(check int) "cold run misses" 0 s1.Cec.cache_hits;
-  let v2, s2 = Cec.check_with_stats ~partition:true ~cache c1 c2 in
+  let v2, s2 = Gen.cec ~layout:Cec.Partitioned ~cache c1 c2 in
   Alcotest.(check bool) "verdicts equal" true (v1 = v2);
   Alcotest.(check int) "warm run all hits" s2.Cec.partitions s2.Cec.cache_hits;
   Alcotest.(check int) "no new SAT work" 0 s2.Cec.sat_calls;
   (* inequivalent pairs replay identically through the cache too *)
   let b1 = Gen.comb st ~name:"cacheb" ~inputs:4 ~gates:30 ~outputs:2 in
   let b2 = Gen.negate_one_output (Gen.demorganize b1) in
-  let w1 = Cec.check ~partition:true ~cache b1 b2 in
-  let w2 = Cec.check ~partition:true ~cache b1 b2 in
+  let w1, _ = Gen.cec ~layout:Cec.Partitioned ~cache b1 b2 in
+  let w2, _ = Gen.cec ~layout:Cec.Partitioned ~cache b1 b2 in
   (match (w1, w2) with
   | Cec.Inequivalent cex1, Cec.Inequivalent cex2 ->
       Alcotest.(check bool) "cached cex identical" true (cex1 = cex2);
@@ -303,9 +303,9 @@ let test_cache_shares_isomorphic_cones () =
     c
   in
   let cache = Cec.Cache.create () in
-  let _, s1 = Cec.check_with_stats ~partition:true ~cache (mk "x") (mk_neg "x") in
+  let _, s1 = Gen.cec ~layout:Cec.Partitioned ~cache (mk "x") (mk_neg "x") in
   Alcotest.(check int) "first pair computes" 0 s1.Cec.cache_hits;
-  let v2, s2 = Cec.check_with_stats ~partition:true ~cache (mk "y") (mk_neg "y") in
+  let v2, s2 = Gen.cec ~layout:Cec.Partitioned ~cache (mk "y") (mk_neg "y") in
   Alcotest.(check int) "renamed pair hits" 1 s2.Cec.cache_hits;
   match v2 with
   | Cec.Inequivalent cex ->
@@ -337,7 +337,7 @@ let test_cache_eviction_bound () =
   let evictions = ref 0 in
   for n = 2 to 7 do
     let c = chain n in
-    let v, s = Cec.check_with_stats ~cache c (Gen.demorganize c) in
+    let v, s = Gen.cec ~cache c (Gen.demorganize c) in
     Alcotest.(check bool) (Printf.sprintf "chain %d equivalent" n) true (v = Cec.Equivalent);
     evictions := !evictions + s.Cec.cache_evictions
   done;
@@ -346,7 +346,7 @@ let test_cache_eviction_bound () =
   Alcotest.(check bool) "cache stays within capacity" true (Cec.Cache.size cache <= 4);
   (* an evicted entry just recomputes *)
   let c = chain 2 in
-  let v, s = Cec.check_with_stats ~cache c (Gen.demorganize c) in
+  let v, s = Gen.cec ~cache c (Gen.demorganize c) in
   Alcotest.(check bool) "evicted pair recomputes" true
     (v = Cec.Equivalent && s.Cec.cache_hits = 0)
 
@@ -360,11 +360,11 @@ let test_parallel_stress () =
     let c2 = Gen.demorganize c1 in
     let bug = Gen.negate_one_output c2 in
     for _rep = 1 to 3 do
-      (match Cec.check ~jobs:4 ~cache c1 c2 with
+      (match fst (Gen.cec ~jobs:4 ~cache c1 c2) with
       | Cec.Equivalent -> ()
       | Cec.Inequivalent _ | Cec.Undecided _ ->
           Alcotest.fail "stress: false inequivalence");
-      match Cec.check ~jobs:4 ~cache c1 bug with
+      match fst (Gen.cec ~jobs:4 ~cache c1 bug) with
       | Cec.Equivalent | Cec.Undecided _ -> Alcotest.fail "stress: missed bug"
       | Cec.Inequivalent cex ->
           Alcotest.(check bool) "stress cex valid" true
@@ -407,7 +407,7 @@ let test_budget_gives_undecided () =
      the answer must be Undecided — never a wrong Equivalent, never a hang *)
   let c1 = xor_chain ~name:"bxa" 14 and c2 = xor_tree ~name:"bxb" 14 in
   let limits = { Cec.no_limits with Cec.sat_conflicts = Some 1; escalate = false } in
-  let v, s = Cec.check_with_stats ~engine:Cec.Sat_engine ~limits c1 c2 in
+  let v, s = Gen.cec ~engine:Cec.Sat_engine ~limits c1 c2 in
   (match v with
   | Cec.Undecided _ -> ()
   | Cec.Equivalent -> Alcotest.fail "1-conflict budget claimed a proof"
@@ -420,7 +420,7 @@ let test_escalation_ladder_proves () =
      BDD rung proves it (parity BDDs are linear) and records the climb *)
   let c1 = xor_chain ~name:"exa" 14 and c2 = xor_tree ~name:"exb" 14 in
   let limits = { Cec.default_limits with Cec.sat_conflicts = Some 1 } in
-  let v, s = Cec.check_with_stats ~engine:Cec.Sweep_engine ~limits c1 c2 in
+  let v, s = Gen.cec ~engine:Cec.Sweep_engine ~limits c1 c2 in
   (match v with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "ladder invented a bug"
@@ -433,7 +433,7 @@ let test_deadline_gives_undecided () =
      checks are final (no escalation) *)
   let c1 = xor_chain ~name:"dxa" 14 and c2 = xor_tree ~name:"dxb" 14 in
   let limits = { Cec.no_limits with Cec.seconds = Some 0.0 } in
-  let v, s = Cec.check_with_stats ~engine:Cec.Sat_engine ~limits c1 c2 in
+  let v, s = Gen.cec ~engine:Cec.Sat_engine ~limits c1 c2 in
   (match v with
   | Cec.Undecided _ -> ()
   | Cec.Equivalent | Cec.Inequivalent _ ->
@@ -443,7 +443,7 @@ let test_deadline_gives_undecided () =
 let test_budgets_leave_easy_checks_alone () =
   let c1 = Gen.comb st ~name:"easyb" ~inputs:5 ~gates:40 ~outputs:2 in
   let c2 = Gen.demorganize c1 in
-  let v, s = Cec.check_with_stats ~limits:Cec.default_limits c1 c2 in
+  let v, s = Gen.cec ~limits:Cec.default_limits c1 c2 in
   (match v with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ | Cec.Undecided _ ->
@@ -473,7 +473,9 @@ let test_cex_wins_over_undecided () =
   let limits = { Cec.no_limits with Cec.sat_conflicts = Some 1; escalate = false } in
   List.iter
     (fun jobs ->
-      match Cec.check ~engine:Cec.Sat_engine ~jobs ~partition:true ~limits c1 c2 with
+      match
+        fst (Gen.cec ~engine:Cec.Sat_engine ~jobs ~layout:Cec.Partitioned ~limits c1 c2)
+      with
       | Cec.Inequivalent cex ->
           Alcotest.(check bool)
             (Printf.sprintf "jobs=%d: winning cex replays" jobs)
@@ -497,8 +499,10 @@ let test_jobs_agree_on_undecided () =
   let c1 = add_buf (xor_chain ~name:"ju1" 14)
   and c2 = add_buf (xor_tree ~name:"ju2" 14) in
   let limits = { Cec.no_limits with Cec.sat_conflicts = Some 1; escalate = false } in
-  let v1 = Cec.check ~engine:Cec.Sat_engine ~jobs:1 ~partition:true ~limits c1 c2 in
-  let v4 = Cec.check ~engine:Cec.Sat_engine ~jobs:4 ~partition:true ~limits c1 c2 in
+  let check jobs =
+    fst (Gen.cec ~engine:Cec.Sat_engine ~jobs ~layout:Cec.Partitioned ~limits c1 c2)
+  in
+  let v1 = check 1 and v4 = check 4 in
   (match v1 with
   | Cec.Undecided _ -> ()
   | Cec.Equivalent -> Alcotest.fail "budget flipped to Equivalent"
@@ -582,7 +586,7 @@ let test_elapsed_seconds () =
     Gen.comb st ~name:"elapsed_a" ~inputs:6 ~gates:120 ~outputs:6
   in
   let c2 = Gen.demorganize c1 in
-  let v, s = Cec.check_with_stats ~engine:Cec.Sweep_engine c1 c2 in
+  let v, s = Gen.cec ~engine:Cec.Sweep_engine c1 c2 in
   (match v with
   | Cec.Equivalent -> ()
   | _ -> Alcotest.fail "expected equivalent");
@@ -594,7 +598,7 @@ let test_elapsed_seconds () =
   Alcotest.(check bool) "sequential: engine CPU-seconds <= elapsed" true
     (engine_sum <= s.Cec.elapsed_seconds +. 0.05);
   (* parallel: partitions overlap, so only the wall clock is bounded *)
-  let v2, s2 = Cec.check_with_stats ~jobs:2 ~engine:Cec.Sweep_engine c1 c2 in
+  let v2, s2 = Gen.cec ~jobs:2 ~engine:Cec.Sweep_engine c1 c2 in
   (match v2 with
   | Cec.Equivalent -> ()
   | _ -> Alcotest.fail "parallel: expected equivalent");
@@ -664,7 +668,7 @@ let test_below_threshold_no_pool () =
       Obs.disable ();
       Obs.reset ())
     (fun () ->
-      let v, s = Cec.check_with_stats ~jobs:4 c1 c2 in
+      let v, s = Gen.cec ~jobs:4 c1 c2 in
       (match v with
       | Cec.Equivalent -> ()
       | _ -> Alcotest.fail "expected equivalent");
@@ -737,44 +741,71 @@ let test_cluster_signature_matches_extraction () =
     l.Cec.Layout.clusters
 
 let test_large_generators_jobs_agree () =
-  (* style pairs of the large-tier generators, partitioned: jobs=1 and
-     jobs=4 produce the same verdict, and the intentionally inequivalent
-     mutant is caught at both (first-cex cancellation must not lose it) *)
-  let check ~jobs p = Cec.check_problem_with_stats ~jobs ~partition:true p in
-  let eq_pairs =
+  (* style pairs of the large-tier generators and a seeded-bug mutant,
+     checked with {no pool, 1-job pool, 2-job pool} x {Adaptive,
+     Monolithic, Partitioned}: one verdict everywhere (first-cex
+     cancellation must not lose the mutant), every cex replays, and the
+     partition count depends only on the effective layout, never on the
+     pool *)
+  let fifo ?bug style = Workloads.fifo ~entries:16 ~width:4 ~style ?bug () in
+  let alu style = Workloads.lane_alu ~lanes:2 ~width:4 ~stages:2 ~style () in
+  let pairs =
     [
-      ( "fifo16x4",
-        Workloads.fifo ~entries:16 ~width:4 ~style:`Sop (),
-        Workloads.fifo ~entries:16 ~width:4 ~style:`Mux () );
-      ( "alu2x4x2",
-        Workloads.lane_alu ~lanes:2 ~width:4 ~stages:2 ~style:`Ripple (),
-        Workloads.lane_alu ~lanes:2 ~width:4 ~stages:2 ~style:`Select () );
+      ("fifo16x4", fifo `Sop, fifo `Mux, true);
+      ("alu2x4x2", alu `Ripple, alu `Select, true);
+      ("fifo16x4 mutant", fifo `Sop, fifo ~bug:true `Mux, false);
     ]
   in
   List.iter
-    (fun (name, a, b) ->
+    (fun (name, a, b, equivalent) ->
       let p = problem_of a b in
-      let v1, s1 = check ~jobs:1 p in
-      let v4, s4 = check ~jobs:4 p in
-      (match (v1, v4) with
-      | Cec.Equivalent, Cec.Equivalent -> ()
-      | _ -> Alcotest.fail (name ^ ": style pair not proven at both job counts"));
-      Alcotest.(check int) (name ^ ": layout independent of jobs")
-        s1.Cec.partitions s4.Cec.partitions)
-    eq_pairs;
-  let p =
-    problem_of
-      (Workloads.fifo ~entries:16 ~width:4 ~style:`Sop ())
-      (Workloads.fifo ~entries:16 ~width:4 ~style:`Mux ~bug:true ())
-  in
-  List.iter
-    (fun jobs ->
-      match check ~jobs p with
-      | Cec.Inequivalent _, _ -> ()
-      | Cec.Equivalent, _ ->
-          Alcotest.failf "jobs=%d: mutant accepted as equivalent" jobs
-      | Cec.Undecided r, _ -> Alcotest.failf "jobs=%d: mutant undecided: %s" jobs r)
-    [ 1; 4 ]
+      let clusters =
+        List.length (Cec.Layout.compute ~forced:true p).Cec.Layout.clusters
+      in
+      let adaptive =
+        if (Cec.Layout.compute p).Cec.Layout.monolithic then 1 else clusters
+      in
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun (lname, layout) ->
+              let config = { Cec.default_config with layout } in
+              let v, s =
+                match jobs with
+                | None -> Cec.check ~config p
+                | Some jobs ->
+                    Par.Pool.with_pool ~jobs (fun pool ->
+                        Cec.check ~config ~pool p)
+              in
+              let what =
+                Printf.sprintf "%s, %s, %s" name lname
+                  (match jobs with
+                  | None -> "no pool"
+                  | Some j -> Printf.sprintf "%d-job pool" j)
+              in
+              (match (v, equivalent) with
+              | Cec.Equivalent, true -> ()
+              | Cec.Inequivalent cex, false ->
+                  Alcotest.(check bool) (what ^ ": cex replays") true
+                    (Seqprob.cex_is_valid p cex)
+              | Cec.Equivalent, false -> Alcotest.failf "%s: mutant accepted" what
+              | Cec.Inequivalent _, true -> Alcotest.failf "%s: false cex" what
+              | Cec.Undecided r, _ -> Alcotest.failf "%s: undecided: %s" what r);
+              let expected =
+                match (layout, jobs) with
+                | Cec.Partitioned, _ -> clusters
+                | Cec.Adaptive, Some j when j > 1 -> adaptive
+                | (Cec.Adaptive | Cec.Monolithic), _ -> 1
+              in
+              Alcotest.(check int) (what ^ ": partitions") expected
+                s.Cec.partitions)
+            [
+              ("adaptive", Cec.Adaptive);
+              ("monolithic", Cec.Monolithic);
+              ("partitioned", Cec.Partitioned);
+            ])
+        [ None; Some 1; Some 2 ])
+    pairs
 
 let test_sat_time_charged_to_sat () =
   (* regression: every SAT call's time lands in sat_seconds — the sweep
@@ -783,7 +814,7 @@ let test_sat_time_charged_to_sat () =
   let c1 = xor_chain ~name:"sta" 12 and c2 = xor_tree ~name:"stb" 12 in
   List.iter
     (fun (nm, e) ->
-      let v, s = Cec.check_with_stats ~engine:e c1 c2 in
+      let v, s = Gen.cec ~engine:e c1 c2 in
       (match v with
       | Cec.Equivalent -> ()
       | _ -> Alcotest.fail (nm ^ ": parity pair not proven"));

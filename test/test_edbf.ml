@@ -56,7 +56,7 @@ let test_shared_table_matches () =
     let table = Events.create () in
     let u1, _ = Edbf.unroll_netlist ~table c in
     let u2, _ = Edbf.unroll_netlist ~table c2 in
-    match Cec.check u1 u2 with
+    match fst (Gen.cec u1 u2) with
     | Cec.Equivalent -> ()
     | Cec.Inequivalent _ -> Alcotest.fail "rewritten circuit got different EDBF"
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -73,7 +73,7 @@ let test_synthesis_preserves_edbf () =
     let table = Events.create () in
     let u1, _ = Edbf.unroll_netlist ~table c in
     let u2, _ = Edbf.unroll_netlist ~table o in
-    match Cec.check u1 u2 with
+    match fst (Gen.cec u1 u2) with
     | Cec.Equivalent -> ()
     | Cec.Inequivalent _ -> Alcotest.fail "synthesis changed the EDBF"
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -90,7 +90,7 @@ let test_edbf_finds_bugs () =
     let table = Events.create () in
     let u1, _ = Edbf.unroll_netlist ~table c in
     let u2, _ = Edbf.unroll_netlist ~table bugged in
-    match Cec.check u1 u2 with
+    match fst (Gen.cec u1 u2) with
     | Cec.Equivalent -> Alcotest.fail "EDBF missed a seeded bug"
     | Cec.Inequivalent _ -> ()
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -126,7 +126,7 @@ let test_fig10_rewrite () =
   let t0 = Events.create ~rewrite:false () in
   let u1, _ = Edbf.unroll_netlist ~table:t0 ca in
   let u2, _ = Edbf.unroll_netlist ~table:t0 cb in
-  (match Cec.check u1 u2 with
+  (match fst (Gen.cec u1 u2) with
   | Cec.Equivalent -> Alcotest.fail "expected false negative without rewrite"
   | Cec.Inequivalent _ -> ()
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r);
@@ -134,7 +134,7 @@ let test_fig10_rewrite () =
   let t1 = Events.create ~rewrite:true () in
   let v1, _ = Edbf.unroll_netlist ~table:t1 ca in
   let v2, _ = Edbf.unroll_netlist ~table:t1 cb in
-  match Cec.check v1 v2 with
+  match fst (Gen.cec v1 v2) with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "rewrite rule failed to merge events"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -171,7 +171,7 @@ let test_fig11_equivalent_forms_merge () =
   let table = Events.create () in
   let u1, _ = Edbf.unroll_netlist ~table c1 in
   let u2, _ = Edbf.unroll_netlist ~table c2 in
-  match Cec.check u1 u2 with
+  match fst (Gen.cec u1 u2) with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "same-function data should match"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -202,7 +202,7 @@ let test_fig11_false_negative () =
   let table = Events.create () in
   let u1, _ = Edbf.unroll_netlist ~table c1 in
   let u2, _ = Edbf.unroll_netlist ~table c2 in
-  match Cec.check u1 u2 with
+  match fst (Gen.cec u1 u2) with
   | Cec.Equivalent -> Alcotest.fail "distinct data functions merged"
   | Cec.Inequivalent _ -> ()
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r

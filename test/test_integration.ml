@@ -68,7 +68,7 @@ let test_engines_on_flow_miters () =
   let p = Result.get_ok (Seqprob.problem bld ~outs1:o1 ~outs2:o2) in
   List.iter
     (fun engine ->
-      match Cec.check_problem ~engine p with
+      match fst (Cec.check ~config:{ Cec.default_config with engine } p) with
       | Cec.Equivalent -> ()
       | Cec.Inequivalent _ -> Alcotest.fail "engine disagrees on flow miter"
       | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r)

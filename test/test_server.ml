@@ -76,7 +76,7 @@ let fifo_text style = Netlist_io.to_string (Workloads.fifo ~entries:8 ~width:4 ~
 let fifo_bug_text () =
   Netlist_io.to_string (Workloads.fifo ~bug:true ~entries:8 ~width:4 ~style:`Mux ())
 
-let check_req ?(id = 1) ?engine ?timeout left right =
+let check_req ?(id = 1) ?engine ?timeout ?jobs left right =
   Sjson.Obj
     ([
        ("id", Sjson.Int id);
@@ -85,7 +85,8 @@ let check_req ?(id = 1) ?engine ?timeout left right =
        ("right", Sjson.String right);
      ]
     @ (match engine with Some e -> [ ("engine", Sjson.String e) ] | None -> [])
-    @ match timeout with Some s -> [ ("timeout", Sjson.Float s) ] | None -> [])
+    @ (match timeout with Some s -> [ ("timeout", Sjson.Float s) ] | None -> [])
+    @ match jobs with Some j -> [ ("jobs", Sjson.Int j) ] | None -> [])
 
 (* ---- protocol basics ---- *)
 
@@ -172,6 +173,31 @@ let test_request_limits () =
       Alcotest.(check (option string)) "expired budget -> undecided"
         (Some "undecided")
         (sstr r [ "verdict" ]))
+
+let test_request_jobs () =
+  (* a pair past the layout threshold: "jobs":1 checks it without the
+     shared pool (monolithic), no jobs field runs it on the whole 2-job
+     pool, where the adaptive layout partitions it *)
+  with_server ~pool_jobs:2 (fun _ c ->
+      let alu style =
+        Netlist_io.to_string
+          (Workloads.lane_alu ~lanes:6 ~width:8 ~stages:4 ~style ())
+      in
+      let l = alu `Ripple and r = alu `Select in
+      let mono = Server.Client.request c (check_req ~jobs:1 l r) in
+      let pooled = Server.Client.request c (check_req ~id:2 l r) in
+      List.iter
+        (fun resp ->
+          check_ok "ok" resp;
+          Alcotest.(check (option string)) "verdict" (Some "equivalent")
+            (sstr resp [ "verdict" ]))
+        [ mono; pooled ];
+      Alcotest.(check (option int)) "jobs 1: one partition" (Some 1)
+        (sint mono [ "counters"; "partitions" ]);
+      Alcotest.(check bool) "no jobs: partitioned on the pool" true
+        (match sint pooled [ "counters"; "partitions" ] with
+        | Some n -> n > 1
+        | None -> false))
 
 (* ---- errors never kill the connection ---- *)
 
@@ -597,6 +623,7 @@ let suite =
     Alcotest.test_case "check equivalent" `Quick test_check_equivalent;
     Alcotest.test_case "check inequivalent" `Quick test_check_inequivalent;
     Alcotest.test_case "per-request limits" `Quick test_request_limits;
+    Alcotest.test_case "request jobs: 1 is monolithic" `Quick test_request_jobs;
     Alcotest.test_case "errors keep the connection" `Quick test_errors_and_survival;
     Alcotest.test_case "load shedding" `Quick test_shedding;
     Alcotest.test_case "stats" `Quick test_stats;
